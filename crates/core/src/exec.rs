@@ -28,28 +28,17 @@ use xdx_xml::SchemaTree;
 
 /// How serialized cross-edge messages reach the target system.
 ///
-/// [`execute`] historically shipped straight over a [`Link`]; the
-/// runtime layer needs to interpose chunking, fault handling and retry
-/// policies without re-implementing the executor, so the executor talks
-/// to this seam instead. Implementations return the simulated transfer
-/// duration plus the bytes as delivered at the far side (which the
-/// executor then decodes, surfacing any damage as an explicit error).
+/// [`execute`] ships straight over a [`Link`]; [`LoopbackTransport`]
+/// keeps every message in process (the runtime computes a delta
+/// session's head feeds this way). Implementations return the simulated
+/// transfer duration plus the bytes as delivered at the far side (which
+/// the executor then decodes, surfacing any damage as an explicit
+/// error).
 pub trait Transport {
     /// Ships one message; returns (simulated duration, delivered bytes).
     /// An `Err` means delivery gave up entirely (e.g. a retry budget ran
     /// out) and aborts the exchange.
     fn ship(&mut self, label: &str, message: &[u8]) -> Result<(Duration, Vec<u8>)>;
-
-    /// The fully assembled serialized message a checkpointing transport
-    /// already holds for its *next* shipment, if any. A transport that
-    /// persisted the serialized bytes of an earlier (failed) run returns
-    /// them here, and the executor ships those exact bytes instead of
-    /// re-serializing the feed — a resumed exchange pays zero
-    /// serialization for shipments it already built once. The default
-    /// (no checkpoint) keeps plain transports trivial.
-    fn checkpointed_message(&mut self, _label: &str) -> Option<Vec<u8>> {
-        None
-    }
 
     /// The wire encoding this transport negotiated for its link. The
     /// executor serializes cross-edge feeds in this format; receivers
@@ -59,13 +48,6 @@ pub trait Transport {
     fn wire_format(&self) -> WireFormat {
         WireFormat::Xml
     }
-
-    /// Notifies the transport that the executor just encoded a feed into
-    /// `bytes` wire bytes in `ns` nanoseconds. Checkpoint replays encode
-    /// nothing and report nothing, so a transport tallying these sees
-    /// each message encoded exactly once across failed runs and resumes.
-    /// The default discards the notification.
-    fn record_encode(&mut self, _bytes: u64, _ns: u64) {}
 }
 
 /// The trivial transport: one message, one transmission, whatever
@@ -133,13 +115,8 @@ pub struct ExecOutcome {
     pub bytes_shipped: u64,
     /// Messages shipped.
     pub messages: usize,
-    /// Messages actually serialized from feeds in this run. Shipments
-    /// replayed from a transport checkpoint are shipped but not counted
-    /// here, so a fully checkpointed resume reports zero.
-    pub messages_serialized: usize,
     /// Feed bytes produced by the wire encoder (the POST body, before
-    /// HTTP and chunk framing). Checkpoint replays encode nothing and
-    /// add nothing here.
+    /// HTTP and chunk framing).
     pub bytes_encoded: u64,
     /// Wall nanoseconds spent encoding feeds for the wire.
     pub encode_ns: u64,
@@ -204,9 +181,7 @@ pub fn execute_with_selection(
     )
 }
 
-/// [`execute_with_selection`] over an arbitrary [`Transport`] — the
-/// integration point for runtimes that chunk, retry or otherwise manage
-/// shipment themselves.
+/// [`execute_with_selection`] over an arbitrary [`Transport`].
 #[allow(clippy::too_many_arguments)]
 pub fn execute_with_transport(
     schema: &SchemaTree,
@@ -683,30 +658,16 @@ fn run_nodes(
                             .port_region(*p)
                             .map(|r| r.name(schema))
                             .unwrap_or_default();
-                        // A checkpointing transport that already built
-                        // this shipment's bytes in an earlier run hands
-                        // them back; only a cache miss serializes.
-                        let message = match transport.checkpointed_message(&label) {
-                            Some(m) => m,
-                            None => {
-                                let f = feeds.get(p).ok_or_else(|| Error::InvalidProgram {
-                                    detail: format!("missing feed for port {p:?}"),
-                                })?;
-                                outcome.messages_serialized += 1;
-                                let start = Instant::now();
-                                let len = encode_in_format_into(
-                                    &mut encode_buf,
-                                    f,
-                                    transport.wire_format(),
-                                );
-                                let ns = start.elapsed().as_nanos() as u64;
-                                outcome.encode_ns += ns;
-                                outcome.bytes_encoded += len as u64;
-                                transport.record_encode(len as u64, ns);
-                                Request::soap_post("/exchange", &label, encode_buf.clone())
-                                    .to_bytes()
-                            }
-                        };
+                        let f = feeds.get(p).ok_or_else(|| Error::InvalidProgram {
+                            detail: format!("missing feed for port {p:?}"),
+                        })?;
+                        let start = Instant::now();
+                        let len =
+                            encode_in_format_into(&mut encode_buf, f, transport.wire_format());
+                        outcome.encode_ns += start.elapsed().as_nanos() as u64;
+                        outcome.bytes_encoded += len as u64;
+                        let message =
+                            Request::soap_post("/exchange", &label, encode_buf.clone()).to_bytes();
                         let (duration, delivered) = transport.ship(&label, &message)?;
                         outcome.times.communication += duration;
                         outcome.bytes_shipped += message.len() as u64;
@@ -863,7 +824,6 @@ mod tests {
         assert_eq!(target.table("Line_Switch.xsd").unwrap().len(), 4);
         assert_eq!(target.table("Feature.xsd").unwrap().len(), 4);
         assert_eq!(outcome.messages, 4); // one shipment per target fragment
-        assert_eq!(outcome.messages_serialized, 4); // no checkpoint: all built here
         assert!(outcome.bytes_shipped > 0);
         assert!(outcome.times.communication.as_nanos() > 0);
         assert_eq!(outcome.rows_loaded, 14);

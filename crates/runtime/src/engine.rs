@@ -1,39 +1,39 @@
-//! The event-driven shipping engine: batch shipments as parked state
-//! machines instead of blocked threads.
+//! The event-driven shipping engine: every shipment — pipelined
+//! operator batches, publish-lane frames, delta patches — runs here as
+//! a parked state machine instead of on a blocked thread.
 //!
-//! The blocking [`crate::shipper::FaultTolerantShipper`] spends a worker
-//! thread's life inside paced-link sleeps and retry backoffs. The engine
-//! inverts that: a worker *submits* a batch shipment ([`ShipRequest`])
-//! and immediately goes back to runnable work; the shipment advances as
-//! a chunk-level state machine driven by a single engine thread (plus
-//! any worker that volunteers spare cycles through
+//! A worker *submits* a batch shipment ([`ShipRequest`]) and
+//! immediately goes back to runnable work; the shipment advances as a
+//! chunk-level state machine driven by a single engine thread (plus any
+//! worker that volunteers spare cycles through
 //! [`ShipEngine::drive_until`]). Every wait — wire occupancy of a paced
 //! link, retry backoff, lane contention — is a deadline on the
 //! [`TimerWheel`], never a `thread::sleep`, so N workers keep far more
 //! than N sessions in flight.
 //!
-//! Semantics are bit-for-bit those of the blocking shipper: the same
-//! [`ShippingPolicy`] caps, the same stall accounting, the same
-//! [`ReassemblyLedger`] filing (chunks land under the coordinates in
-//! the frame; duplicates drop idempotently; a resumed session re-ships
-//! only unacked chunks), the same events and `ship` spans. Instead of a
-//! per-shipper budget, every batch of a session decrements one shared
-//! atomic budget, preserving the per-*session* retry cap.
+//! Each chunk is framed with its full shipment identity (session,
+//! shipment seq, index, total, checksum — [`xdx_net::ChunkFrame`]) and
+//! retried with exponential backoff under the [`ShippingPolicy`] caps.
+//! Every verified frame is filed in the [`ReassemblyLedger`] under the
+//! coordinates *in the frame*, so reordered, duplicated or
+//! cross-delivered chunks land in the right slot and exact repeats drop
+//! idempotently; because the ledger outlives a failed session, a
+//! resumed session re-ships only unacked chunks. Every batch of a
+//! session decrements one shared atomic budget, preserving the
+//! per-*session* retry cap.
 //!
 //! Pacing without sleeping: the paced wire is modeled as a per-pair
 //! *lane*. A transmission computes its fault outcome immediately
 //! ([`xdx_net::Link::transmit_faulty_nowait`]), releases the link lock,
 //! and advances the lane's `busy_until` horizon by the transfer's paced
 //! duration; the task then parks until that horizon. Tasks sharing a
-//! pair serialize on the lane exactly as blocking shippers serialize on
-//! the link lock — but parked, not blocked.
+//! pair serialize on the lane — parked, not blocked.
 
 use crate::events::{EventKind, EventLog};
 use crate::flight::{FlightRecorder, FlightSubsystem};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
 use crate::session::SessionShared;
-use crate::shipper::{ShippingPolicy, MAX_STALLS_PER_CHUNK};
 use crate::wheel::TimerWheel;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -47,10 +47,51 @@ use xdx_trace::{SpanId, TraceSink};
 /// task mid-transmission (a few engine steps).
 const LANE_POLL: Duration = Duration::from_micros(200);
 
-/// How long a task parks when the link mutex itself is held — a
-/// fallback blocking shipper may sleep a paced transmit *inside* the
-/// lock, and the engine must never wait on it.
-const LINK_POLL: Duration = Duration::from_micros(500);
+/// Retry/chunking policy of the shipping layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShippingPolicy {
+    /// Payload bytes per chunk.
+    pub chunk_bytes: usize,
+    /// Transmission attempts per chunk before the shipment fails
+    /// (1 = no retry).
+    pub max_attempts_per_chunk: u32,
+    /// Total retries one session may spend across all its shipments; a
+    /// session on a pathological link degrades to `Failed` instead of
+    /// monopolizing the link forever.
+    pub retry_budget: u32,
+    /// Backoff after the first failed attempt; doubles per attempt.
+    pub backoff_base: Duration,
+    /// Backoff ceiling.
+    pub backoff_cap: Duration,
+}
+
+impl Default for ShippingPolicy {
+    fn default() -> ShippingPolicy {
+        ShippingPolicy {
+            chunk_bytes: 16 * 1024,
+            max_attempts_per_chunk: 8,
+            retry_budget: 256,
+            backoff_base: Duration::from_millis(20),
+            backoff_cap: Duration::from_secs(2),
+        }
+    }
+}
+
+impl ShippingPolicy {
+    /// Simulated backoff before retry number `failed_attempts`
+    /// (1-based): `base · 2^(n-1)`, capped.
+    pub fn backoff(&self, failed_attempts: u32) -> Duration {
+        let shift = failed_attempts.saturating_sub(1).min(20);
+        (self.backoff_base * (1u32 << shift)).min(self.backoff_cap)
+    }
+}
+
+/// A transmission consumed the link but delivered a *different* verified
+/// frame (reordering pipeline) or parked ours in the deferred queue.
+/// Bounded: the link's deferred queue holds at most a handful of frames,
+/// so a parked chunk reappears within that many transmissions. The cap
+/// turns a hypothetically livelocked loop into a counted failure.
+const MAX_STALLS_PER_CHUNK: u32 = 32;
 
 /// Shipping tallies of one batch, folded into the session's metrics by
 /// the completion callback.
@@ -300,10 +341,10 @@ impl ShipEngine {
     }
 
     /// Volunteer driving: make engine progress until `deadline`. This is
-    /// how a worker stuck in a *blocking* shipper's retry backoff spends
-    /// the wait — instead of sleeping, it advances other sessions'
-    /// parked shipments (and simply idles on the condvar when there are
-    /// none). Returns at the deadline.
+    /// how a worker waiting on its own shipment (a publish group's
+    /// frames, a delta patch) spends the wait — instead of sleeping, it
+    /// advances every session's parked shipments (and simply idles on
+    /// the condvar when there are none). Returns at the deadline.
     pub(crate) fn drive_until(&self, deadline: Instant) {
         self.drive(Some(deadline));
     }
@@ -522,15 +563,7 @@ impl ShipEngine {
                     lane.in_use = true;
                 }
                 // Lane reserved; touch the link outside the engine lock.
-                // `try_lock`, never `lock`: a fallback blocking shipper
-                // sleeps paced transmits while *holding* this mutex.
-                let Ok(mut link) = task.slot.link.try_lock() else {
-                    let mut st = self.state.lock().unwrap();
-                    if let Some(lane) = st.lanes.get_mut(&task.pair) {
-                        lane.in_use = false;
-                    }
-                    return StepOutcome::Park(now + LINK_POLL);
-                };
+                let mut link = task.slot.link.lock().unwrap();
                 let (duration, delivery) =
                     link.transmit_faulty_nowait(&task.chunk_label, &task.frame);
                 task.pacing = link.pacing();
@@ -716,13 +749,35 @@ mod tests {
     use xdx_core::WireFormat;
     use xdx_net::{FaultProfile, Link, NetworkProfile};
 
-    fn engine() -> Arc<ShipEngine> {
-        ShipEngine::new(
-            Arc::new(EventLog::new()),
-            Arc::new(ReassemblyLedger::new()),
+    /// An engine plus the event log and ledger it files into.
+    struct Harness {
+        engine: Arc<ShipEngine>,
+        events: Arc<EventLog>,
+        ledger: Arc<ReassemblyLedger>,
+    }
+
+    fn harness() -> Harness {
+        let events = Arc::new(EventLog::new());
+        let ledger = Arc::new(ReassemblyLedger::new());
+        let engine = ShipEngine::new(
+            Arc::clone(&events),
+            Arc::clone(&ledger),
             Arc::new(TraceSink::new(false, 16)),
             Arc::new(FlightRecorder::new(true, 64)),
-        )
+        );
+        Harness {
+            engine,
+            events,
+            ledger,
+        }
+    }
+
+    fn engine() -> Arc<ShipEngine> {
+        harness().engine
+    }
+
+    fn session() -> Arc<SessionShared> {
+        SessionShared::new(1, "test".into(), None, 0)
     }
 
     fn slot_for(link: Link) -> Arc<LinkSlot> {
@@ -744,9 +799,21 @@ mod tests {
         policy: ShippingPolicy,
         budget: &Arc<AtomicI64>,
     ) -> mpsc::Receiver<BatchResult> {
+        submit_as(engine, session(), slot, seq, message, policy, budget)
+    }
+
+    fn submit_as(
+        engine: &ShipEngine,
+        session: Arc<SessionShared>,
+        slot: &Arc<LinkSlot>,
+        seq: u64,
+        message: Vec<u8>,
+        policy: ShippingPolicy,
+        budget: &Arc<AtomicI64>,
+    ) -> mpsc::Receiver<BatchResult> {
         let (tx, rx) = mpsc::channel();
         engine.submit(ShipRequest {
-            session: SessionShared::new(1, "test".into(), None, 0),
+            session,
             slot: Arc::clone(slot),
             seq,
             label: format!("batch {seq}"),
@@ -761,9 +828,19 @@ mod tests {
         rx
     }
 
+    /// Drives `engine` until the batch behind `rx` completes.
+    fn run(engine: &ShipEngine, rx: mpsc::Receiver<BatchResult>) -> BatchResult {
+        engine.drive_until(Instant::now() + Duration::from_secs(5));
+        rx.try_recv().expect("batch completed")
+    }
+
+    fn always_drops() -> Arc<LinkSlot> {
+        slot_for(Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)))
+    }
+
     #[test]
     fn lossy_link_reassembles_exactly() {
-        let eng = engine();
+        let h = harness();
         let slot = slot_for(
             Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
                 drop_probability: 0.15,
@@ -779,15 +856,106 @@ mod tests {
             chunk_bytes: 64,
             ..ShippingPolicy::default()
         };
-        let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
-        eng.drive_until(Instant::now() + Duration::from_secs(5));
-        let result = rx.try_recv().expect("batch completed");
+        let rx = submit(&h.engine, &slot, 0, message.clone(), policy, &budget);
+        let result = run(&h.engine, rx);
         assert_eq!(result.outcome.unwrap(), message);
         assert!(result.elapsed > Duration::ZERO);
         assert_eq!(result.stats.chunks_shipped, 2000usize.div_ceil(64) as u64);
+        assert_eq!(result.stats.chunks_resumed, 0);
         assert!(result.stats.chunks_retried > 0, "30% faults must retry");
+        assert_eq!(
+            h.events.count(EventKind::ChunkRetried) as u64,
+            result.stats.chunks_retried
+        );
+        // Wire bytes exceed the logical message: headers + retries.
+        assert!(result.stats.wire_bytes > message.len() as u64);
         assert!(!result.link_gave_up);
-        assert_eq!(eng.inflight(), 0);
+        assert_eq!(h.engine.inflight(), 0);
+        // The link slot's lock-free counters mirror the batch's view.
+        let link_stats = slot.stats();
+        assert_eq!(link_stats.wire_bytes, result.stats.wire_bytes);
+        assert_eq!(link_stats.chunks_shipped, result.stats.chunks_shipped);
+        assert_eq!(link_stats.chunks_retried, result.stats.chunks_retried);
+        assert_eq!(link_stats.peak_concurrent_shipments, 1);
+    }
+
+    #[test]
+    fn reordering_and_duplication_still_reassemble_exactly() {
+        let eng = engine();
+        let slot = slot_for(
+            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
+                reorder_probability: 0.25,
+                duplicate_probability: 0.15,
+                seed: 7,
+                ..FaultProfile::healthy()
+            }),
+        );
+        let budget = Arc::new(AtomicI64::new(256));
+        let policy = ShippingPolicy {
+            chunk_bytes: 32,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
+        let result = run(
+            &eng,
+            submit(&eng, &slot, 0, message.clone(), policy, &budget),
+        );
+        assert_eq!(result.outcome.unwrap(), message);
+        // Duplicated deliveries were filed twice and dropped once.
+        assert!(result.stats.chunks_deduped > 0, "{:?}", result.stats);
+    }
+
+    #[test]
+    fn resubmitted_shipment_reships_only_unacked_chunks() {
+        let h = harness();
+        let policy = ShippingPolicy {
+            chunk_bytes: 64,
+            max_attempts_per_chunk: 3,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..1000u32).map(|i| (i % 256) as u8).collect();
+        let total = 1000usize.div_ceil(64) as u64;
+        let budget = Arc::new(AtomicI64::new(256));
+
+        // First attempt: a drop-heavy link defeats the tight attempt
+        // cap partway through the shipment.
+        let slot = slot_for(
+            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
+                drop_probability: 0.35,
+                seed: 3,
+                ..FaultProfile::healthy()
+            }),
+        );
+        let first = run(
+            &h.engine,
+            submit(&h.engine, &slot, 0, message.clone(), policy, &budget),
+        );
+        let err = first.outcome.unwrap_err();
+        assert!(err.contains("gave up"), "{err}");
+        assert!(first.link_gave_up);
+        let landed = first.stats.chunks_shipped;
+        assert!(landed > 0 && landed < total, "partial landing: {landed}");
+        assert_eq!(h.ledger.checkpointed_chunks(1), landed as usize);
+        assert_eq!(
+            h.ledger.stored_message(1, 0).unwrap(),
+            message,
+            "the failed batch persisted its serialized message"
+        );
+
+        // The same (session, seq) again over a repaired link: only the
+        // chunks that never landed cross the wire.
+        slot.link
+            .lock()
+            .unwrap()
+            .set_fault_profile(FaultProfile::healthy());
+        let second = run(
+            &h.engine,
+            submit(&h.engine, &slot, 0, message.clone(), policy, &budget),
+        );
+        assert_eq!(second.outcome.unwrap(), message);
+        assert_eq!(second.stats.chunks_resumed, landed);
+        assert_eq!(second.stats.chunks_shipped, total - landed);
+        assert_eq!(h.events.count(EventKind::ShipmentResumed), 1);
     }
 
     #[test]
@@ -817,9 +985,7 @@ mod tests {
     #[test]
     fn shared_budget_fails_with_link_blame() {
         let eng = engine();
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)),
-        );
+        let slot = always_drops();
         let budget = Arc::new(AtomicI64::new(5));
         let policy = ShippingPolicy {
             chunk_bytes: 64,
@@ -828,12 +994,90 @@ mod tests {
             ..ShippingPolicy::default()
         };
         let rx = submit(&eng, &slot, 0, b"some payload".to_vec(), policy, &budget);
-        eng.drive_until(Instant::now() + Duration::from_secs(5));
-        let result = rx.try_recv().expect("batch completed");
+        let result = run(&eng, rx);
         let err = result.outcome.unwrap_err();
         assert!(err.contains("retry budget"), "{err}");
         assert!(result.link_gave_up);
         assert_eq!(result.stats.chunks_retried, 5);
+    }
+
+    #[test]
+    fn attempt_cap_fails_even_with_budget_left() {
+        let eng = engine();
+        let budget = Arc::new(AtomicI64::new(256));
+        let policy = ShippingPolicy {
+            max_attempts_per_chunk: 3,
+            ..ShippingPolicy::default()
+        };
+        let rx = submit(
+            &eng,
+            &always_drops(),
+            0,
+            b"payload".to_vec(),
+            policy,
+            &budget,
+        );
+        let result = run(&eng, rx);
+        let err = result.outcome.unwrap_err();
+        assert!(err.contains("gave up after 3"), "{err}");
+        assert!(result.link_gave_up);
+        assert_eq!(budget.load(Ordering::SeqCst), 254, "two retries spent");
+    }
+
+    #[test]
+    fn cancellation_fails_without_blaming_the_link() {
+        let eng = engine();
+        let session = session();
+        session.cancelled.store(true, Ordering::Relaxed);
+        let budget = Arc::new(AtomicI64::new(256));
+        let rx = submit_as(
+            &eng,
+            session,
+            &always_drops(),
+            0,
+            b"payload".to_vec(),
+            ShippingPolicy::default(),
+            &budget,
+        );
+        let result = run(&eng, rx);
+        let err = result.outcome.unwrap_err();
+        assert!(err.contains("cancelled"), "{err}");
+        assert!(!result.link_gave_up, "cancellation is not the link");
+    }
+
+    #[test]
+    fn deadline_fails_without_blaming_the_link() {
+        let eng = engine();
+        let session = SessionShared::new(1, "t".into(), Some(Duration::ZERO), 0);
+        std::thread::sleep(Duration::from_millis(2));
+        let budget = Arc::new(AtomicI64::new(256));
+        let rx = submit_as(
+            &eng,
+            session,
+            &always_drops(),
+            0,
+            b"payload".to_vec(),
+            ShippingPolicy::default(),
+            &budget,
+        );
+        let result = run(&eng, rx);
+        let err = result.outcome.unwrap_err();
+        assert!(err.contains("deadline exceeded"), "{err}");
+        assert!(!result.link_gave_up);
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let policy = ShippingPolicy {
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(100),
+            ..ShippingPolicy::default()
+        };
+        assert_eq!(policy.backoff(1), Duration::from_millis(10));
+        assert_eq!(policy.backoff(2), Duration::from_millis(20));
+        assert_eq!(policy.backoff(3), Duration::from_millis(40));
+        assert_eq!(policy.backoff(5), Duration::from_millis(100));
+        assert_eq!(policy.backoff(30), Duration::from_millis(100));
     }
 
     #[test]

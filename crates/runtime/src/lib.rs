@@ -70,12 +70,12 @@ pub mod ledger;
 pub mod registry;
 pub mod runtime;
 pub mod session;
-pub mod shipper;
 pub mod wheel;
 
 pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
 pub use cache::{plan_key, plan_key_with_fanout, CachedPlan, PlanCache, PlanKey};
+pub use engine::ShippingPolicy;
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use fair::{FairQueue, Popped, DEFAULT_AGING_INTERVAL};
 pub use flight::{
@@ -93,7 +93,6 @@ pub use session::{
     SessionResult, SessionState, DEFAULT_PUBLISH_LAG_CAP, DEFAULT_SOURCE_ENDPOINT,
     DEFAULT_TARGET_ENDPOINT,
 };
-pub use shipper::ShippingPolicy;
 pub use wheel::TimerWheel;
 pub use xdx_core::WireFormat;
 pub use xdx_trace::{

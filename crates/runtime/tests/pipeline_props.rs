@@ -4,12 +4,17 @@
 //! identical to the classic materialize-then-encode path — for both
 //! wire formats, for empty feeds, and for the single-batch degenerate
 //! case (where the frames must be *byte*-identical). On top of the
-//! codec-level properties, the whole runtime is run A/B (pipelined vs
-//! blocking) and the resulting targets compared wire-byte for wire-byte.
+//! codec-level properties, the whole runtime is run at several batch
+//! sizes and its targets checked against the paper's oracle: the
+//! two-site exchange over a healthy link, and publish&map.
 
 use proptest::prelude::*;
 use xdx_codec::{decode_any, encode_in_format_into, WireFormat};
 use xdx_core::exec::feed_batches;
+use xdx_core::pm::publish_and_map;
+use xdx_core::publish::publish;
+use xdx_core::DataExchange;
+use xdx_net::{Link, NetworkProfile};
 use xdx_relational::{ColRole, Database, Dewey, Feed, FeedColumn, FeedSchema, Value};
 use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig};
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
@@ -134,8 +139,8 @@ proptest! {
 
     /// When the whole feed fits in one batch (including the empty
     /// feed), the pipelined path must put the *identical bytes* on the
-    /// wire that the blocking path would have: same frame, bit for bit,
-    /// in both formats.
+    /// wire that encoding the materialized feed would have: same frame,
+    /// bit for bit, in both formats.
     #[test]
     fn single_batch_frames_are_byte_identical(feed in feed_strategy()) {
         let batch_rows = feed.rows.len().max(1);
@@ -183,34 +188,54 @@ fn run_exchange(doc: &str, config: RuntimeConfig) -> Database {
     target
 }
 
-/// End to end: the pipelined runtime (small batches, so multiple frames
-/// stream per cross edge) delivers a target wire-identical to the
-/// blocking runtime's, in both wire formats.
+/// End to end: the runtime, streaming 1-, 7- and 1024-row batches in
+/// both wire formats, delivers a target wire-identical to the two-site
+/// exchange over a healthy link — and, re-published, the very document
+/// publish&map delivers.
 #[test]
-fn pipelined_and_blocking_targets_are_wire_identical() {
+fn streamed_targets_match_the_exchange_and_publish_and_map() {
+    let schema = schema();
+    let mf = mf(&schema);
+    let lf = lf(&schema);
     let doc = generate(GenConfig::sized(6_000));
+    let mut reference = Database::new("reference");
+    DataExchange::new(&schema, mf.clone(), lf.clone())
+        .run(
+            &mut load_source(&doc, &schema, &mf).unwrap(),
+            &mut reference,
+            &mut Link::new(NetworkProfile::lan()),
+        )
+        .unwrap();
+    let mut pm_target = Database::new("pm");
+    publish_and_map(
+        &schema,
+        &mf,
+        &lf,
+        &mut load_source(&doc, &schema, &mf).unwrap(),
+        &mut pm_target,
+        &mut Link::new(NetworkProfile::lan()),
+    )
+    .unwrap();
+    let pm_doc = publish(&schema, &lf, &mut pm_target).unwrap().xml;
     for format in formats() {
-        let blocking = run_exchange(
-            &doc,
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_wire_format(format)
-                .with_pipeline(false),
-        );
         for batch_rows in [1usize, 7, 1024] {
-            let pipelined = run_exchange(
+            let mut streamed = run_exchange(
                 &doc,
                 RuntimeConfig::default()
                     .with_workers(2)
                     .with_wire_format(format)
-                    .with_pipeline(true)
                     .with_batch_rows(batch_rows)
                     .with_pipeline_depth(3),
             );
             assert_eq!(
-                wire_state(&pipelined),
-                wire_state(&blocking),
-                "divergence at format {format:?}, batch_rows {batch_rows}"
+                wire_state(&streamed),
+                wire_state(&reference),
+                "divergence from the exchange at format {format:?}, batch_rows {batch_rows}"
+            );
+            assert_eq!(
+                publish(&schema, &lf, &mut streamed).unwrap().xml,
+                pm_doc,
+                "divergence from publish&map at format {format:?}, batch_rows {batch_rows}"
             );
         }
     }
